@@ -20,15 +20,10 @@ use rand::Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use fedhisyn_telemetry::{Phase, SpanCtx};
-
 use crate::env::{seed_mix, FlEnv};
 use crate::local::{evaluate_on_test, local_train_plain_owned};
-use crate::ring_sim::{
-    simulate_ring_interval_transport, ReceivePolicy, RelayCodec, RingFaults, RingStart, RingTrace,
-    TransportStats,
-};
-use crate::topology::{Ring, RingOrder};
+use crate::ring_sim::{run_class_rings, ClassRound, ReceivePolicy, RingStart};
+use crate::topology::{cluster_participants, Ring, RingOrder};
 
 /// A decentralized communication mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -287,22 +282,16 @@ impl DecentralSim {
         } else {
             ReceivePolicy::TrainReceived
         };
-        let failure_policy = env.fleet.dynamics().failure_policy;
         // Latency classes: fixed on a static fleet, re-clustered from the
         // online cohort's *current* latencies on a dynamic one (a device
         // migrates classes as its capacity state drifts).
         let classes: Vec<Vec<usize>> = if env.dynamics_active() {
-            let latencies: Vec<f64> = cohort.iter().map(|&d| env.latency_at(d, round)).collect();
             let k = match self.mode {
                 DecentralMode::ClusteredRings { k, .. } => k,
                 _ => 1,
             };
             let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, 0xC105, 1));
-            kmeans_1d(&latencies, k.min(cohort.len()), 100, &mut rng)
-                .groups_sorted_by_centroid()
-                .into_iter()
-                .map(|group| group.into_iter().map(|i| cohort[i]).collect())
-                .collect()
+            cluster_participants(env, &cohort, k, round, &mut rng)
         } else {
             self.classes.clone()
         };
@@ -315,120 +304,45 @@ impl DecentralSim {
             .into_iter()
             .map(Some)
             .collect();
-
-        struct RingJob {
-            ring: Ring,
-            ring_lat: Vec<f64>,
-            failures: Vec<Option<f64>>,
-            /// Moved into the relay by the parallel pass…
-            start: Option<Vec<ParamVec>>,
-            /// …which stores the carry-over models, transfer count and
-            /// transport-fault record here.
-            done: Option<(Vec<ParamVec>, usize, TransportStats)>,
-        }
-        let mut jobs: Vec<RingJob> = classes
+        let rings: Vec<(Ring, RingStart<'_>)> = classes
             .iter()
             .enumerate()
             .map(|(ci, members)| {
                 let lat: Vec<f64> = members.iter().map(|&d| env.latency_at(d, round)).collect();
                 let mut rng = rng_from_seed(seed_mix(env.seed, round as u64, ci as u64, 0x4149));
                 let ring = Ring::build(members, &lat, &env.link, order, &mut rng);
-                let ring_lat: Vec<f64> = ring
-                    .order()
-                    .iter()
-                    .map(|&d| env.latency_at(d, round))
-                    .collect();
-                let failures: Vec<Option<f64>> = if env.dynamics_active() {
-                    ring.order()
-                        .iter()
-                        .map(|&d| env.fail_time(d, round, interval))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
                 let start: Vec<ParamVec> = ring
                     .order()
                     .iter()
                     .map(|&d| pool[d].take().expect("classes partition the cohort"))
                     .collect();
-                RingJob {
-                    ring,
-                    ring_lat,
-                    failures,
-                    start: Some(start),
-                    done: None,
-                }
+                (ring, RingStart::PerPosition(start))
             })
             .collect();
-        // One job per chunk: each worker gets exclusive `&mut` access, so
-        // the start models move into the relay without any locking.
-        let vt_base = self.virtual_time;
-        // Same deterministic fault plan as the federated path: pure in
-        // (seed, round, edge, attempt), shared read-only across workers.
-        let faults = env.faults_active().then_some(RingFaults {
-            plan: &env.faults,
-            round: round as u64,
-        });
         // Decentralized rings have no shared broadcast, so lossy `TopK`
-        // deltas are taken from zero (`base: None`); error feedback still
-        // accumulates per device across rounds.
-        let relay_codec = RelayCodec { env, base: None };
-        jobs.par_chunks_mut(1).enumerate().for_each(|(ci, chunk)| {
-            let job = &mut chunk[0];
-            let start = job.start.take().expect("each ring job runs exactly once");
-            let ring_wall = env.telemetry.wall_start();
-            let out = simulate_ring_interval_transport(
-                &job.ring,
-                &job.ring_lat,
-                &env.link,
-                RingStart::PerPosition(start),
+        // deltas are taken from zero (error feedback still accumulates per
+        // device across rounds), and they never rebuild proactively (no
+        // coordinator holds the fault scores).
+        let outcomes = run_class_rings(
+            &ClassRound {
+                env,
+                round,
+                vt_base: self.virtual_time,
                 interval,
                 policy,
-                failure_policy,
-                &job.failures,
-                faults,
-                Some(RingTrace {
-                    sink: &env.telemetry,
-                    round: round as u32,
-                    lane: ci as u32,
-                    vt_base,
-                }),
-                Some(&relay_codec),
-                |device, params, salt| {
-                    let trained =
-                        local_train_plain_owned(env, device, params, env.local_epochs, round, salt);
-                    // Serialization-drift tripwire (no-op unless enabled).
-                    env.wire_round_trip_check(&trained);
-                    trained
-                },
-            );
-            env.telemetry.span(
-                Phase::RingInterval,
-                round as u32,
-                SpanCtx::lane(ci as u32),
-                (vt_base, vt_base + interval),
-                ring_wall,
-            );
-            // Carry the buffer state (pending arrivals) into the next
-            // interval — this is what keeps models circulating when a
-            // device only fits one step per interval. Dead positions
-            // carry the model they held at the crash.
-            job.done = Some((out.next_models, out.transfers, out.transport));
-        });
-        let mut transport_total = TransportStats::default();
-        for job in jobs {
-            let (nexts, transfers, transport) = job.done.expect("every ring job ran");
-            env.charge_peer(transfers as f64);
-            env.charge_retransmit(transport.retransmit_frames() as f64);
-            transport_total.absorb(&transport);
-            for (&device, model) in job.ring.order().iter().zip(nexts) {
+                base: None,
+                rebuilds: 0,
+            },
+            rings,
+        );
+        // Carry the buffer state (pending arrivals) into the next
+        // interval — this is what keeps models circulating when a device
+        // only fits one step per interval. Dead positions carry the model
+        // they held at the crash.
+        for (ring, outcome) in outcomes {
+            for (&device, model) in ring.order().iter().zip(outcome.next_models) {
                 pool[device] = Some(model);
             }
-        }
-        if env.faults_active() {
-            // Decentral rings never rebuild proactively (no coordinator
-            // holds the fault scores), so the rebuild count is zero.
-            env.telemetry.add_transport(&transport_total.counters(0));
         }
         self.models = pool
             .into_iter()

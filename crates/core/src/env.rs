@@ -213,7 +213,7 @@ pub struct FlEnv {
     /// [`FaultPlan::none`] (the default) injects nothing and is
     /// bit-identical to a build without the transport layer; a non-trivial
     /// plan turns each hop into a retry-with-backoff loop in virtual time
-    /// (see `ring_sim::simulate_ring_interval_transport`).
+    /// (see [`crate::ring_sim::RingInterval::faults`]).
     pub faults: FaultPlan,
     /// When set, the runner samples a **fixed-size cohort** of this many
     /// online devices per round by streaming rejection sampling

@@ -2,22 +2,16 @@
 
 use std::collections::HashMap;
 
-use fedhisyn_cluster::kmeans_1d;
 use fedhisyn_nn::{CodecScratch, ParamVec};
 use fedhisyn_telemetry::{Phase, SpanCtx};
-use fedhisyn_tensor::{rng_from_seed, TensorRng};
-use rayon::prelude::*;
+use fedhisyn_tensor::rng_from_seed;
 
 use crate::aggregate::{AggregationRule, Contribution};
 use crate::algorithm::{FlAlgorithm, RoundContext};
 use crate::config::ExperimentConfig;
-use crate::env::{seed_mix, FlEnv, ResidualBank};
-use crate::local::local_train_plain_owned;
-use crate::ring_sim::{
-    simulate_ring_interval_transport, ReceivePolicy, RelayCodec, RingFaults, RingOutcome,
-    RingStart, RingTrace, TransportStats,
-};
-use crate::topology::{Ring, RingOrder};
+use crate::env::{seed_mix, ResidualBank};
+use crate::ring_sim::{run_class_rings, ClassRound, ReceivePolicy, RingStart};
+use crate::topology::{cluster_participants, Ring, RingOrder};
 
 /// Scores below this are dropped from the EWMA map, keeping it sized to
 /// the devices that actually misbehave rather than the whole cohort.
@@ -106,31 +100,6 @@ impl FedHiSyn {
         // would silently corrupt the next compressed broadcast.
         self.prev_broadcast = None;
     }
-
-    /// Cluster `participants` into at most `k` latency classes, fastest
-    /// class first (Alg. 1 line 4), from the latencies *observed at*
-    /// `round` — on a dynamic fleet a device migrates between classes as
-    /// its capacity state drifts; on a static fleet this reads the base
-    /// profile and is bit-identical to clustering once.
-    pub fn cluster_participants(
-        env: &FlEnv,
-        participants: &[usize],
-        k: usize,
-        round: usize,
-        rng: &mut TensorRng,
-    ) -> Vec<Vec<usize>> {
-        let latencies: Vec<f64> = participants
-            .iter()
-            .map(|&d| env.latency_at(d, round))
-            .collect();
-        let k_eff = k.min(participants.len());
-        let clustering = kmeans_1d(&latencies, k_eff, 100, rng);
-        clustering
-            .groups_sorted_by_centroid()
-            .into_iter()
-            .map(|group| group.into_iter().map(|i| participants[i]).collect())
-            .collect()
-    }
 }
 
 impl FlAlgorithm for FedHiSyn {
@@ -173,7 +142,7 @@ impl FlAlgorithm for FedHiSyn {
         // 2. Cluster by the latencies observed *this round*, fastest
         //    class first.
         let cluster_wall = env.telemetry.wall_start();
-        let classes = Self::cluster_participants(env, s, self.k, round, ctx.rng);
+        let classes = cluster_participants(env, s, self.k, round, ctx.rng);
         env.telemetry.span(
             Phase::Clustering,
             round as u32,
@@ -187,21 +156,16 @@ impl FlAlgorithm for FedHiSyn {
         //    device", §6.1), at its current effective capacity.
         let interval = env.slowest_latency_at(s, round);
 
-        // 4. Build the rings up front (cheap, needs &mut rng), then run
+        // 4. Build one ring per class (cheap, seeded per class), then run
         //    every class in parallel — classes are independent rings.
-        //    Each position carries its mid-interval failure time (if the
-        //    fleet model schedules one).
-        struct ClassRing {
-            ring: Ring,
-            ring_lat: Vec<f64>,
-            failures: Vec<Option<f64>>,
-            mean_time: f64,
-            /// ≥1 member was a transport suspect, so this ring's order
-            /// was proactively rebuilt around them.
-            rebuilt: bool,
-        }
+        //    What the rings start from is the decoded broadcast under a
+        //    lossy codec, the exact global otherwise; every position
+        //    copies it lazily, and relay deltas are coded against it.
+        let global: &ParamVec = broadcast.as_ref().unwrap_or(&self.global);
         let ring_seed = seed_mix(env.seed, round as u64, 0x1216, 0);
-        let rings: Vec<ClassRing> = classes
+        let mut rebuilds = 0;
+        let mut mean_times = Vec::with_capacity(classes.len());
+        let rings: Vec<(Ring, RingStart<'_>)> = classes
             .iter()
             .enumerate()
             .map(|(ci, members)| {
@@ -221,7 +185,7 @@ impl FlAlgorithm for FedHiSyn {
                 } else {
                     Vec::new()
                 };
-                let rebuilt = suspects.iter().any(|&s| s);
+                rebuilds += u64::from(suspects.iter().any(|&s| s));
                 let ring = Ring::build_with_suspects(
                     members,
                     &latencies,
@@ -230,121 +194,31 @@ impl FlAlgorithm for FedHiSyn {
                     &mut rng,
                     &suspects,
                 );
-                let ring_lat: Vec<f64> = ring
-                    .order()
-                    .iter()
-                    .map(|&d| env.latency_at(d, round))
-                    .collect();
-                let failures: Vec<Option<f64>> = if env.dynamics_active() {
-                    ring.order()
-                        .iter()
-                        .map(|&d| env.fail_time(d, round, interval))
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let mean_time = latencies.iter().sum::<f64>() / latencies.len() as f64;
-                ClassRing {
-                    ring,
-                    ring_lat,
-                    failures,
-                    mean_time,
-                    rebuilt,
-                }
+                // Summed in member order: f64 addition is not associative.
+                mean_times.push(latencies.iter().sum::<f64>() / latencies.len() as f64);
+                (ring, RingStart::Shared(global))
             })
             .collect();
-        let rebuilds = rings.iter().filter(|r| r.rebuilt).count() as u64;
-
-        // What the rings actually start from: the decoded broadcast under
-        // a lossy codec, the exact global otherwise.
-        let global: &ParamVec = broadcast.as_ref().unwrap_or(&self.global);
-        // Every relay hop inside the interval crosses the compressed
-        // wire; deltas are taken against the shared broadcast. With the
-        // `F32` codec this reduces to the serialization tripwire (a no-op
-        // unless `wire_check` is set).
-        let relay_codec = RelayCodec {
-            env,
-            base: Some(global),
-        };
-        let policy = self.receive_policy;
-        let failure_policy = env.fleet.dynamics().failure_policy;
         let vt_base = ctx.vt_base;
-        // Fault injection is a pure function of (seed, round, edge,
-        // attempt), so the same `RingFaults` context is shared across
-        // every parallel ring worker. `None` keeps the fault-free fast
-        // path allocation-free and bit-identical to prior builds.
-        let faults = env.faults_active().then_some(RingFaults {
-            plan: &env.faults,
-            round: round as u64,
-        });
-        let outcomes: Vec<(RingOutcome, &Ring, f64)> = rings
-            .par_iter()
-            .enumerate()
-            .map(|(ci, job)| {
-                let ClassRing {
-                    ring,
-                    ring_lat,
-                    failures,
-                    mean_time,
-                    rebuilt: _,
-                } = job;
-                let ring_wall = env.telemetry.wall_start();
-                // The round-start broadcast is *shared*: the relay copies
-                // the global lazily, once per position, instead of this
-                // call materialising `ring.len()` clones up front.
-                let outcome = simulate_ring_interval_transport(
-                    ring,
-                    ring_lat,
-                    &env.link,
-                    RingStart::Shared(global),
-                    interval,
-                    policy,
-                    failure_policy,
-                    failures,
-                    faults,
-                    Some(RingTrace {
-                        sink: &env.telemetry,
-                        round: round as u32,
-                        lane: ci as u32,
-                        vt_base,
-                    }),
-                    Some(&relay_codec),
-                    |device, params, salt| {
-                        let trained = local_train_plain_owned(
-                            env,
-                            device,
-                            params,
-                            env.local_epochs,
-                            round,
-                            salt,
-                        );
-                        // Serialization-drift tripwire: what this hop puts
-                        // on the wire must survive the frame codec exactly.
-                        env.wire_round_trip_check(&trained);
-                        trained
-                    },
-                );
-                env.telemetry.span(
-                    Phase::RingInterval,
-                    round as u32,
-                    SpanCtx::lane(ci as u32),
-                    (vt_base, vt_base + interval),
-                    ring_wall,
-                );
-                (outcome, ring, *mean_time)
-            })
-            .collect();
+        let outcomes = run_class_rings(
+            &ClassRound {
+                env,
+                round,
+                vt_base,
+                interval,
+                policy: self.receive_policy,
+                base: Some(global),
+                rebuilds,
+            },
+            rings,
+        );
 
-        // 5. Record ring traffic and upload every *surviving* device's
-        //    newest model (a mid-interval casualty cannot upload).
+        // 5. Upload every *surviving* device's newest model (a
+        //    mid-interval casualty cannot upload).
         let agg_wall = env.telemetry.wall_start();
         let mut uploaded: Vec<(ParamVec, usize, f64)> = Vec::with_capacity(s.len());
         let mut upload_scratch = CodecScratch::new();
-        let mut transport_total = TransportStats::default();
-        for (outcome, ring, mean_time) in outcomes {
-            env.charge_peer(outcome.transfers as f64);
-            env.charge_retransmit(outcome.transport.retransmit_frames() as f64);
-            transport_total.absorb(&outcome.transport);
+        for ((ring, outcome), mean_time) in outcomes.into_iter().zip(mean_times) {
             // EWMA fault score per receiving device (proactive-rebuild
             // signal): score ← (1-α)·score + α·faults_observed. Scores
             // below the floor are pruned so the map stays O(flaky
@@ -373,10 +247,6 @@ impl FlAlgorithm for FedHiSyn {
                 env.codec_transform(device, &mut model, broadcast.as_ref(), &mut upload_scratch);
                 uploaded.push((model, env.shard_len(device), mean_time));
             }
-        }
-        if env.faults_active() {
-            env.telemetry
-                .add_transport(&transport_total.counters(rebuilds));
         }
         env.charge_upload(uploaded.len() as f64);
 
@@ -433,7 +303,7 @@ mod tests {
         let env = cfg.build_env();
         let participants: Vec<usize> = (0..8).collect();
         let mut rng = rng_from_seed(0);
-        let classes = FedHiSyn::cluster_participants(&env, &participants, 2, 0, &mut rng);
+        let classes = cluster_participants(&env, &participants, 2, 0, &mut rng);
         assert!(classes.len() <= 2 && !classes.is_empty());
         let total: usize = classes.iter().map(|c| c.len()).sum();
         assert_eq!(total, 8, "every participant lands in exactly one class");

@@ -57,5 +57,5 @@ pub use engine::{ExecMode, ExecutionEngine};
 pub use env::{seed_mix, FlEnv, MomentumBank};
 pub use fedhisyn::FedHiSyn;
 pub use metrics::{RoundRecord, RunRecord};
-pub use ring_sim::{FailurePolicy, RingFaults, RingTrace, TransportStats};
+pub use ring_sim::{FailurePolicy, RingFaults, RingInterval, RingTrace, TransportStats};
 pub use topology::{Ring, RingOrder};

@@ -9,6 +9,15 @@
 //! holds the model it most recently finished training, which is what it
 //! uploads.
 //!
+//! [`simulate_ring_interval`] is the one relay entry point. Its
+//! [`RingInterval`] options switch on, independently, the averaging
+//! receive policy, mid-interval device failures, deterministic wire
+//! faults, telemetry spans and the wire codec; the `Default` options are
+//! the plain static relay. Inside the crate, `run_class_rings` drives one
+//! round of class rings on an [`FlEnv`] — latencies, failure times, the
+//! fault, trace and codec contexts, real local SGD, lane spans and
+//! traffic charges — for both FedHiSyn and the decentralized ring modes.
+//!
 //! # Move-based relay
 //!
 //! Models flow through the simulation **by value**: the trainer consumes
@@ -28,9 +37,11 @@
 use fedhisyn_nn::{CodecScratch, ParamVec};
 use fedhisyn_simnet::{EventQueue, FaultKind, FaultPlan, LinkModel, SimTime};
 use fedhisyn_telemetry::{Phase, SpanCtx, TelemetrySink, TransportCounters};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::env::FlEnv;
+use crate::local::local_train_plain_owned;
 use crate::topology::Ring;
 
 pub use fedhisyn_fleet::FailurePolicy;
@@ -38,10 +49,11 @@ pub use fedhisyn_fleet::FailurePolicy;
 /// Telemetry context for one ring interval: where spans go and how this
 /// ring's local event clock maps onto the experiment's virtual timeline.
 ///
-/// The simulation emits a [`Phase::LocalTrain`] span per completed step
-/// and a [`Phase::RelayHop`] span per device→device transfer (normal
-/// forwards, dead-position re-forwards and failure salvages alike), all
-/// offset by `vt_base` so they nest under the round span.
+/// The simulation emits a [`Phase::LocalTrain`] span per completed step,
+/// a [`Phase::RelayHop`] span per device→device transfer (normal
+/// forwards, dead-position re-forwards and failure salvages alike) and a
+/// [`Phase::RelayAttempt`] span per retransmission, all offset by
+/// `vt_base` so they nest under the round span.
 #[derive(Debug, Clone, Copy)]
 pub struct RingTrace<'a> {
     /// Destination sink (a disabled sink makes every emission a no-op).
@@ -56,28 +68,13 @@ pub struct RingTrace<'a> {
 }
 
 impl RingTrace<'_> {
-    /// Emit one relay-hop span covering `[now, now + delay]` on this
+    /// Emit one transfer span — a [`Phase::RelayHop`] or a
+    /// [`Phase::RelayAttempt`] — covering `[now, now + delay]` on this
     /// ring's clock.
-    fn hop(&self, now: SimTime, delay: f64, dest_device: usize, seq: usize) {
+    fn transfer(&self, phase: Phase, now: SimTime, delay: f64, dest_device: usize, seq: usize) {
         let wall = self.sink.wall_start();
         self.sink.span(
-            Phase::RelayHop,
-            self.round,
-            SpanCtx::device(self.lane, dest_device as u32, seq as u32),
-            (
-                self.vt_base + now.seconds(),
-                self.vt_base + now.seconds() + delay,
-            ),
-            wall,
-        );
-    }
-
-    /// Emit one retransmission-attempt span (a retry frame put on the
-    /// wire after a transport fault) covering `[now, now + delay]`.
-    fn attempt(&self, now: SimTime, delay: f64, dest_device: usize, seq: usize) {
-        let wall = self.sink.wall_start();
-        self.sink.span(
-            Phase::RelayAttempt,
+            phase,
             self.round,
             SpanCtx::device(self.lane, dest_device as u32, seq as u32),
             (
@@ -99,6 +96,48 @@ pub struct RingFaults<'a> {
     pub plan: &'a FaultPlan,
     /// Federated round index keying the per-edge draws.
     pub round: u64,
+}
+
+/// Wire-codec context for one ring interval: the environment holding the
+/// active [`fedhisyn_nn::Codec`], its error-feedback residual bank and
+/// the `wire_check` tripwire, plus the shared base model `TopK` deltas
+/// are coded against (the round's decoded broadcast for FedHiSyn; `None`
+/// for serverless topologies).
+///
+/// `None` — or a context whose codec is `F32` with `wire_check` off —
+/// leaves every relay untouched: bit- and allocation-identical to the
+/// pre-codec engine.
+#[derive(Debug, Clone, Copy)]
+pub struct RelayCodec<'a> {
+    /// Environment carrying codec, residuals and the wire-check flag.
+    pub env: &'a FlEnv,
+    /// Shared reference model for delta coding.
+    pub base: Option<&'a ParamVec>,
+}
+
+/// Options for one [`simulate_ring_interval`] call. Every field defaults
+/// to off or empty, so `RingInterval::default()` is the plain static
+/// relay and each option can be switched on independently.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RingInterval<'a> {
+    /// What a device does with a model received from its predecessor.
+    pub policy: ReceivePolicy,
+    /// What the ring does with models held by a mid-interval casualty.
+    pub failure_policy: FailurePolicy,
+    /// `failures[p]` is the virtual time within `[0, interval)` at which
+    /// the device at ring position `p` crashes (`None` = survives). Empty
+    /// means nobody fails, which is *exactly* the static code path: no
+    /// failure events are scheduled and the choreography is unchanged.
+    pub failures: &'a [Option<f64>],
+    /// Deterministic wire faults on every relay hop. `None` — or a plan
+    /// for which [`FaultPlan::is_none`] holds — is bit- and
+    /// allocation-identical to the fault-free relay.
+    pub faults: Option<RingFaults<'a>>,
+    /// Telemetry spans. With a disabled sink, bit- and
+    /// allocation-identical to `None`.
+    pub trace: Option<RingTrace<'a>>,
+    /// Wire codec every physical send crosses.
+    pub codec: Option<RelayCodec<'a>>,
 }
 
 /// Transport-fault accounting for one simulated ring interval.
@@ -227,44 +266,6 @@ enum Event {
     Failure { pos: usize },
 }
 
-/// Simulate `interval` virtual seconds of ring training.
-///
-/// * `ring` — the communication ring (device ids),
-/// * `latencies[p]` — virtual seconds per local step for the device at
-///   ring position `p`,
-/// * `start` — the models positions begin the interval with (shared
-///   broadcast or per-position),
-/// * `train(device, model, salt)` — performs one local step, consuming
-///   and returning the model buffer; `salt` is a unique per-(position,
-///   step) value for deterministic batch shuffling.
-///
-/// Each position runs `ceil(interval / latency)` steps (at least one),
-/// matching Alg. 1's budget loop (`R_ci > 0`).
-pub fn simulate_ring_interval<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    simulate_ring_interval_faulty(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        FailurePolicy::default(),
-        &[],
-        train,
-    )
-}
-
 /// The first live ring position after `pos` (the repaired successor), or
 /// `None` when every other position is dead.
 fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
@@ -278,215 +279,51 @@ fn next_live(ring: &Ring, dead: &[bool], pos: usize) -> Option<usize> {
     None
 }
 
-/// [`simulate_ring_interval`] under mid-interval device failures.
-///
-/// `failures[p]` is the virtual time within `[0, interval)` at which the
-/// device at ring position `p` crashes (`None` = survives; an empty slice
-/// = nobody fails, which is *exactly* the static code path: no failure
-/// events are scheduled and the event choreography is unchanged).
-///
-/// When a device dies:
-///
-/// * the step it was training never completes (its pending completion is
-///   discarded),
-/// * the freshest model it held — a pending unconsumed arrival, else the
-///   model it was training — is preserved as its last-held model (device
-///   storage survives a crash, which is what a decentralized rejoin
-///   resumes from), and under [`FailurePolicy::ForwardToSuccessor`] a
-///   copy is forwarded to the next *live* ring successor,
-/// * the ring repairs itself: subsequent sends skip dead positions, and
-///   in-flight arrivals addressed to a dead position are re-forwarded
-///   (or dropped, under [`FailurePolicy::DropInFlight`]),
-/// * the position is reported dead in [`RingOutcome::alive`] — it cannot
-///   upload this round.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_faulty<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        failure_policy,
-        failures,
-        None,
-        None,
-        None,
-        train,
-    )
-}
-
-/// [`simulate_ring_interval_faulty`] emitting telemetry spans: one
-/// [`Phase::LocalTrain`] per completed step, one [`Phase::RelayHop`] per
-/// transfer, stamped on the experiment's virtual clock via
-/// `trace.vt_base`. With a disabled sink this is bit- and
-/// allocation-identical to the untraced entry points.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_traced<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    trace: RingTrace<'_>,
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        failure_policy,
-        failures,
-        None,
-        Some(trace),
-        None,
-        train,
-    )
-}
-
-/// The full transport entry point: [`simulate_ring_interval_traced`]
-/// plus deterministic wire faults on every relay hop.
-///
-/// Every hop becomes a bounded retry loop in virtual time: a lost,
-/// corrupted (checksum-rejected) or timed-out frame is retransmitted
-/// after an exponential backoff, up to the plan's retry budget; a
-/// transfer that exhausts the budget is *given up* — the receiver simply
-/// keeps refining its own model (Eq. 7), exactly the salvage semantics
-/// the [`FailurePolicy`] paths already guarantee, so the round always
-/// completes. Duplicated frames deliver twice (harmless under the
-/// newest-wins inbox, but both copies cost wire bytes).
-///
-/// Accounting: the *logical* transfer is counted in
-/// [`RingOutcome::transfers`] exactly as in the fault-free path (even
-/// when every attempt fails); the physical extras — retries and
-/// duplicate copies — are reported in [`RingOutcome::transport`] for the
-/// caller to charge to the retransmit ledger.
-///
-/// `faults: None` — or a plan for which [`FaultPlan::is_none`] holds —
-/// is bit- and allocation-identical to [`simulate_ring_interval_traced`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ring_interval_transport<F>(
-    ring: &Ring,
-    latencies: &[f64],
-    link: &LinkModel,
-    start: RingStart<'_>,
-    interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    faults: Option<RingFaults<'_>>,
-    trace: Option<RingTrace<'_>>,
-    codec: Option<&RelayCodec<'_>>,
-    train: F,
-) -> RingOutcome
-where
-    F: FnMut(usize, ParamVec, u64) -> ParamVec,
-{
-    sim_ring_impl(
-        ring,
-        latencies,
-        link,
-        start,
-        interval,
-        policy,
-        failure_policy,
-        failures,
-        faults,
-        trace,
-        codec,
-        train,
-    )
-}
-
-/// Wire-codec context for one ring interval: the environment holding the
-/// active [`fedhisyn_nn::Codec`], its error-feedback residual bank and
-/// the `wire_check` tripwire, plus the shared base model `TopK` deltas
-/// are coded against (the round's decoded broadcast for FedHiSyn; `None`
-/// for serverless topologies).
-///
-/// `None` — or a context whose codec is `F32` with `wire_check` off —
-/// leaves every relay untouched: bit- and allocation-identical to the
-/// pre-codec engine.
-#[derive(Debug, Clone, Copy)]
-pub struct RelayCodec<'a> {
-    /// Environment carrying codec, residuals and the wire-check flag.
-    pub env: &'a FlEnv,
-    /// Shared reference model for delta coding.
-    pub base: Option<&'a ParamVec>,
-}
-
-/// Everything one relay transmission needs to mutate, bundled so the
+/// The event queue plus everything one relay transmission needs, so the
 /// three send sites (normal forward, dead-position re-forward, failure
-/// salvage) share one attempt loop without a dozen-argument call.
-struct Wire<'a, 'b> {
-    queue: &'a mut EventQueue<Event>,
-    faults: Option<&'a RingFaults<'b>>,
-    trace: &'a Option<RingTrace<'b>>,
-    codec: Option<&'a RelayCodec<'b>>,
-    codec_scratch: &'a mut CodecScratch,
-    transport: &'a mut TransportStats,
+/// salvage) share one attempt loop.
+struct Wire<'a> {
+    ring: &'a Ring,
+    link: &'a LinkModel,
+    queue: EventQueue<Event>,
+    faults: Option<RingFaults<'a>>,
+    trace: Option<RingTrace<'a>>,
+    codec: Option<RelayCodec<'a>>,
+    /// One scratch per ring interval: the event loop is single-threaded,
+    /// so every hop's codec transform reuses these buffers and the steady
+    /// state stays allocation-free after the first compressed send.
+    codec_scratch: CodecScratch,
+    transport: TransportStats,
     /// Per-source-position monotone frame cursor: every physical attempt
     /// consumes one value, so the pure fault function sees a fresh
     /// `(round, src, dst, attempt)` coordinate per frame regardless of
     /// how many transmissions the edge carries.
-    sent: &'a mut [u64],
-    transfers: &'a mut usize,
+    sent: Vec<u64>,
+    transfers: usize,
 }
 
-impl Wire<'_, '_> {
+impl Wire<'_> {
     /// Put `model` on the wire from ring position `src_pos` to `dst_pos`
-    /// at virtual time `now`. Fault-free this is exactly the historical
-    /// single `push_class` + hop span; under a fault plan it becomes the
-    /// bounded retry loop described on
-    /// [`simulate_ring_interval_transport`].
-    fn transmit(
-        &mut self,
-        ring: &Ring,
-        link: &LinkModel,
-        now: SimTime,
-        src_pos: usize,
-        dst_pos: usize,
-        mut model: ParamVec,
-    ) {
-        let src = ring.order()[src_pos];
-        let dst = ring.order()[dst_pos];
+    /// at virtual time `now`. Fault-free this is exactly one arrival and
+    /// one hop span; under a fault plan it becomes the bounded retry loop
+    /// described on [`simulate_ring_interval`].
+    fn transmit(&mut self, now: SimTime, src_pos: usize, dst_pos: usize, mut model: ParamVec) {
+        let src = self.ring.order()[src_pos];
+        let dst = self.ring.order()[dst_pos];
         // Every physical send crosses the codec: the receiver observes
         // the decoded reconstruction, the sender's residual absorbs what
         // this hop's encode dropped. A no-op under `F32`.
         if let Some(c) = self.codec {
             c.env
-                .codec_transform(src, &mut model, c.base, self.codec_scratch);
+                .codec_transform(src, &mut model, c.base, &mut self.codec_scratch);
         }
-        let delay = link.delay(src, dst).max(0.0);
-        let seq = *self.transfers;
-        *self.transfers += 1;
+        let delay = self.link.delay(src, dst).max(0.0);
+        let seq = self.transfers;
+        self.transfers += 1;
 
         let Some(f) = self.faults else {
-            // Fault-free fast path: bit-identical to the pre-transport
-            // choreography (one arrival, one hop span, no extra state).
+            // Fault-free fast path: one arrival, one hop span, no extra
+            // state.
             self.queue.push_class(
                 now + delay,
                 CLASS_ARRIVAL,
@@ -496,7 +333,7 @@ impl Wire<'_, '_> {
                 },
             );
             if let Some(tr) = self.trace {
-                tr.hop(now, delay, dst, seq);
+                tr.transfer(Phase::RelayHop, now, delay, dst, seq);
             }
             return;
         };
@@ -510,7 +347,8 @@ impl Wire<'_, '_> {
             self.sent[src_pos] += 1;
             if attempt > 0 {
                 if let Some(tr) = self.trace {
-                    tr.attempt(t, delay, dst, self.transport.retries as usize);
+                    let retry = self.transport.retries as usize;
+                    tr.transfer(Phase::RelayAttempt, t, delay, dst, retry);
                 }
                 self.transport.retries += 1;
             }
@@ -536,7 +374,7 @@ impl Wire<'_, '_> {
                         },
                     );
                     if let Some(tr) = self.trace {
-                        tr.hop(t, delay, dst, seq);
+                        tr.transfer(Phase::RelayHop, t, delay, dst, seq);
                     }
                     return;
                 }
@@ -578,24 +416,76 @@ const CLASS_ARRIVAL: u8 = 0;
 const CLASS_COMPLETION: u8 = 1;
 const CLASS_FAILURE: u8 = 2;
 
-#[allow(clippy::too_many_arguments)]
-fn sim_ring_impl<F>(
+/// Simulate `interval` virtual seconds of ring training.
+///
+/// * `ring` — the communication ring (device ids),
+/// * `latencies[p]` — virtual seconds per local step for the device at
+///   ring position `p`,
+/// * `start` — the models positions begin the interval with (shared
+///   broadcast or per-position),
+/// * `opts` — receive policy, failures, wire faults, trace and codec
+///   (see [`RingInterval`]; `&RingInterval::default()` is the plain
+///   static relay),
+/// * `train(device, model, salt)` — performs one local step, consuming
+///   and returning the model buffer; `salt` is a unique per-(position,
+///   step) value for deterministic batch shuffling.
+///
+/// Each position runs `ceil(interval / latency)` steps (at least one),
+/// matching Alg. 1's budget loop (`R_ci > 0`).
+///
+/// # Failures
+///
+/// When a device dies at `opts.failures[p]`:
+///
+/// * the step it was training never completes (its pending completion is
+///   discarded),
+/// * the freshest model it held — a pending unconsumed arrival, else the
+///   model it was training — is preserved as its last-held model (device
+///   storage survives a crash, which is what a decentralized rejoin
+///   resumes from), and under [`FailurePolicy::ForwardToSuccessor`] a
+///   copy is forwarded to the next *live* ring successor,
+/// * the ring repairs itself: subsequent sends skip dead positions, and
+///   in-flight arrivals addressed to a dead position are re-forwarded
+///   (or dropped, under [`FailurePolicy::DropInFlight`]),
+/// * the position is reported dead in [`RingOutcome::alive`] — it cannot
+///   upload this round.
+///
+/// # Wire faults
+///
+/// Under `opts.faults` every hop becomes a bounded retry loop in virtual
+/// time: a lost, corrupted (checksum-rejected) or timed-out frame is
+/// retransmitted after an exponential backoff, up to the plan's retry
+/// budget; a transfer that exhausts the budget is *given up* — the
+/// receiver simply keeps refining its own model (Eq. 7), exactly the
+/// salvage semantics the [`FailurePolicy`] paths already guarantee, so
+/// the round always completes. Duplicated frames deliver twice (harmless
+/// under the newest-wins inbox, but both copies cost wire bytes).
+///
+/// Accounting: the *logical* transfer is counted in
+/// [`RingOutcome::transfers`] exactly as in the fault-free path (even
+/// when every attempt fails); the physical extras — retries and
+/// duplicate copies — are reported in [`RingOutcome::transport`] for the
+/// caller to charge to the retransmit ledger.
+pub fn simulate_ring_interval<F>(
     ring: &Ring,
     latencies: &[f64],
     link: &LinkModel,
     start: RingStart<'_>,
     interval: f64,
-    policy: ReceivePolicy,
-    failure_policy: FailurePolicy,
-    failures: &[Option<f64>],
-    faults: Option<RingFaults<'_>>,
-    trace: Option<RingTrace<'_>>,
-    codec: Option<&RelayCodec<'_>>,
+    opts: &RingInterval<'_>,
     mut train: F,
 ) -> RingOutcome
 where
     F: FnMut(usize, ParamVec, u64) -> ParamVec,
 {
+    let RingInterval {
+        policy,
+        failure_policy,
+        failures,
+        faults,
+        trace,
+        codec,
+    } = *opts;
     let n = ring.len();
     assert_eq!(latencies.len(), n, "one latency per ring position");
     assert!(n > 0, "empty ring");
@@ -627,27 +517,31 @@ where
     let mut latest: Vec<ParamVec> = vec![ParamVec::default(); n];
     let mut inbox: Vec<Option<ParamVec>> = vec![None; n];
     let mut steps = vec![0usize; n];
-    let mut transfers = 0usize;
     let mut dead = vec![false; n];
 
     // Wire-fault state. A `None` context — or a plan with zero fault
     // probabilities — must leave this path untouched: no allocation, no
     // draws, bit-identical event choreography.
-    let fault_ctx = faults.filter(|f| !f.plan.is_none());
-    let mut transport = TransportStats::default();
-    // One scratch per ring interval: the event loop is single-threaded,
-    // so every hop's codec transform reuses these buffers and the steady
-    // state stays allocation-free after the first compressed send.
-    let mut codec_scratch = CodecScratch::new();
-    let mut sent: Vec<u64> = Vec::new();
-    if fault_ctx.is_some() {
-        transport.faults_at = vec![0; n];
-        sent = vec![0; n];
+    let faults = faults.filter(|f| !f.plan.is_none());
+    let mut wire = Wire {
+        ring,
+        link,
+        queue: EventQueue::new(),
+        faults,
+        trace,
+        codec,
+        codec_scratch: CodecScratch::new(),
+        transport: TransportStats::default(),
+        sent: Vec::new(),
+        transfers: 0,
+    };
+    if faults.is_some() {
+        wire.transport.faults_at = vec![0; n];
+        wire.sent = vec![0; n];
     }
 
-    let mut queue: EventQueue<Event> = EventQueue::new();
     for (pos, &latency) in latencies.iter().enumerate() {
-        queue.push_class(
+        wire.queue.push_class(
             SimTime::new(latency),
             CLASS_COMPLETION,
             Event::Completion { pos },
@@ -657,12 +551,13 @@ where
         if let Some(t) = *failure {
             assert!(t.is_finite() && t >= 0.0, "failure time must be >= 0");
             if t < interval {
-                queue.push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
+                wire.queue
+                    .push_class(SimTime::new(t), CLASS_FAILURE, Event::Failure { pos });
             }
         }
     }
 
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = wire.queue.pop() {
         match event {
             Event::Arrival { pos, model } => {
                 if dead[pos] {
@@ -671,17 +566,7 @@ where
                     // hop on the wire) — or drop the model entirely.
                     if failure_policy == FailurePolicy::ForwardToSuccessor {
                         if let Some(succ) = next_live(ring, &dead, pos) {
-                            Wire {
-                                queue: &mut queue,
-                                faults: fault_ctx.as_ref(),
-                                trace: &trace,
-                                transport: &mut transport,
-                                sent: &mut sent,
-                                transfers: &mut transfers,
-                                codec,
-                                codec_scratch: &mut codec_scratch,
-                            }
-                            .transmit(ring, link, now, pos, succ, model);
+                            wire.transmit(now, pos, succ, model);
                         }
                     }
                     continue;
@@ -700,24 +585,7 @@ where
                 if let Some(held) = inbox[pos].take().or_else(|| working[pos].take()) {
                     if failure_policy == FailurePolicy::ForwardToSuccessor {
                         if let Some(succ) = next_live(ring, &dead, pos) {
-                            Wire {
-                                queue: &mut queue,
-                                faults: fault_ctx.as_ref(),
-                                trace: &trace,
-                                transport: &mut transport,
-                                sent: &mut sent,
-                                transfers: &mut transfers,
-                                codec,
-                                codec_scratch: &mut codec_scratch,
-                            }
-                            .transmit(
-                                ring,
-                                link,
-                                now,
-                                pos,
-                                succ,
-                                held.clone(),
-                            );
+                            wire.transmit(now, pos, succ, held.clone());
                         }
                     }
                     latest[pos] = held;
@@ -733,7 +601,7 @@ where
                 let input = working[pos]
                     .take()
                     .unwrap_or_else(|| shared.expect("start model").clone());
-                let trained = match &trace {
+                let trained = match trace {
                     Some(tr) => {
                         let wall = tr.sink.wall_start();
                         let trained = train(ring.order()[pos], input, salt);
@@ -763,24 +631,7 @@ where
                 // keeps training.
                 if n > 1 {
                     if let Some(succ) = next_live(ring, &dead, pos) {
-                        Wire {
-                            queue: &mut queue,
-                            faults: fault_ctx.as_ref(),
-                            trace: &trace,
-                            transport: &mut transport,
-                            sent: &mut sent,
-                            transfers: &mut transfers,
-                            codec,
-                            codec_scratch: &mut codec_scratch,
-                        }
-                        .transmit(
-                            ring,
-                            link,
-                            now,
-                            pos,
-                            succ,
-                            trained.clone(),
-                        );
+                        wire.transmit(now, pos, succ, trained.clone());
                     }
                 }
 
@@ -801,7 +652,7 @@ where
                         }
                         (None, _) => trained,
                     });
-                    queue.push_class(
+                    wire.queue.push_class(
                         now + latencies[pos],
                         CLASS_COMPLETION,
                         Event::Completion { pos },
@@ -832,10 +683,155 @@ where
         final_models: latest,
         next_models,
         steps,
-        transfers,
+        transfers: wire.transfers,
         alive: dead.iter().map(|&d| !d).collect(),
-        transport,
+        transport: wire.transport,
     }
+}
+
+/// The settings every class ring of one round shares; see
+/// [`run_class_rings`].
+pub(crate) struct ClassRound<'a> {
+    pub env: &'a FlEnv,
+    pub round: usize,
+    /// Experiment virtual time at which the interval starts.
+    pub vt_base: f64,
+    /// Interval length `R`, virtual seconds.
+    pub interval: f64,
+    pub policy: ReceivePolicy,
+    /// Shared base lossy `TopK` deltas are coded against (FedHiSyn's
+    /// decoded broadcast; `None` codes serverless rings from zero).
+    pub base: Option<&'a ParamVec>,
+    /// Rings proactively rebuilt around transport suspects this round,
+    /// reported with the transport counters.
+    pub rebuilds: u64,
+}
+
+/// Run one interval on every class ring of a round, in parallel, with
+/// real local SGD on `c.env`, and return each ring with its outcome in
+/// class order.
+///
+/// This is the one place a round's rings are wired to the environment:
+/// each ring's latencies and failure times are read at `c.round` in ring
+/// order; every ring shares the round's fault plan and codec, and traces
+/// into its own lane (the class index). The ring-interval spans, the
+/// peer and retransmit traffic (charged ring by ring, in class order)
+/// and the round's transport counters are all recorded here.
+pub(crate) fn run_class_rings(
+    c: &ClassRound<'_>,
+    rings: Vec<(Ring, RingStart<'_>)>,
+) -> Vec<(Ring, RingOutcome)> {
+    struct Lane<'s> {
+        ring: Ring,
+        ring_lat: Vec<f64>,
+        failures: Vec<Option<f64>>,
+        /// Moved into the relay by the parallel pass…
+        start: Option<RingStart<'s>>,
+        /// …which leaves the outcome here.
+        outcome: Option<RingOutcome>,
+    }
+    let ClassRound {
+        env,
+        round,
+        vt_base,
+        interval,
+        ..
+    } = *c;
+    let mut lanes: Vec<Lane<'_>> = rings
+        .into_iter()
+        .map(|(ring, start)| {
+            let ring_lat = ring
+                .order()
+                .iter()
+                .map(|&d| env.latency_at(d, round))
+                .collect();
+            let failures = if env.dynamics_active() {
+                ring.order()
+                    .iter()
+                    .map(|&d| env.fail_time(d, round, interval))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            Lane {
+                ring,
+                ring_lat,
+                failures,
+                start: Some(start),
+                outcome: None,
+            }
+        })
+        .collect();
+
+    // Fault injection is a pure function of (seed, round, edge, attempt),
+    // so one context is shared read-only across every ring worker.
+    let faults = env.faults_active().then_some(RingFaults {
+        plan: &env.faults,
+        round: round as u64,
+    });
+    let codec = RelayCodec { env, base: c.base };
+    let failure_policy = env.fleet.dynamics().failure_policy;
+    // One ring per chunk: each worker gets exclusive `&mut` access, so the
+    // start models move into the relay without any locking.
+    lanes.par_chunks_mut(1).enumerate().for_each(|(ci, chunk)| {
+        let lane = &mut chunk[0];
+        let start = lane.start.take().expect("each ring runs exactly once");
+        let ring_wall = env.telemetry.wall_start();
+        let opts = RingInterval {
+            policy: c.policy,
+            failure_policy,
+            failures: &lane.failures,
+            faults,
+            trace: Some(RingTrace {
+                sink: &env.telemetry,
+                round: round as u32,
+                lane: ci as u32,
+                vt_base,
+            }),
+            codec: Some(codec),
+        };
+        let outcome = simulate_ring_interval(
+            &lane.ring,
+            &lane.ring_lat,
+            &env.link,
+            start,
+            interval,
+            &opts,
+            |device, params, salt| {
+                let trained =
+                    local_train_plain_owned(env, device, params, env.local_epochs, round, salt);
+                // Serialization-drift tripwire: what this hop puts on the
+                // wire must survive the frame codec exactly (a no-op
+                // unless `wire_check` is set).
+                env.wire_round_trip_check(&trained);
+                trained
+            },
+        );
+        env.telemetry.span(
+            Phase::RingInterval,
+            round as u32,
+            SpanCtx::lane(ci as u32),
+            (vt_base, vt_base + interval),
+            ring_wall,
+        );
+        lane.outcome = Some(outcome);
+    });
+
+    let mut transport = TransportStats::default();
+    let done = lanes
+        .into_iter()
+        .map(|lane| {
+            let outcome = lane.outcome.expect("every ring ran");
+            env.charge_peer(outcome.transfers as f64);
+            env.charge_retransmit(outcome.transport.retransmit_frames() as f64);
+            transport.absorb(&outcome.transport);
+            (lane.ring, outcome)
+        })
+        .collect();
+    if env.faults_active() {
+        env.telemetry.add_transport(&transport.counters(c.rebuilds));
+    }
+    done
 }
 
 #[cfg(test)]
@@ -881,7 +877,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(3),
         );
         // Positions sorted by latency: 1.0 → 4 steps, 2.0 → 2, 4.0 → 1.
@@ -901,7 +897,7 @@ mod tests {
                 &LinkModel::zero(),
                 start,
                 5.0,
-                ReceivePolicy::TrainReceived,
+                &RingInterval::default(),
                 mock_train(3),
             )
         };
@@ -922,7 +918,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             1.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(2),
         );
         assert!(out.steps.iter().all(|&s| s >= 1));
@@ -939,7 +935,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             4.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(2),
         );
         for m in &out.final_models {
@@ -960,7 +956,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 1),
             3.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(1),
         );
         assert_eq!(out.steps, vec![3]);
@@ -980,7 +976,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             8.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(2),
         );
         // Fast position is 0 (sorted small-to-large). Its final model must
@@ -999,7 +995,7 @@ mod tests {
             &LinkModel::Constant { delay: 100.0 },
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(2),
         );
         // Position p trained only by its own device: exactly one non-zero
@@ -1030,7 +1026,10 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::AverageThenTrain,
+            &RingInterval {
+                policy: ReceivePolicy::AverageThenTrain,
+                ..RingInterval::default()
+            },
             mock_train(2),
         );
         let has_fraction = out
@@ -1055,7 +1054,7 @@ mod tests {
                 &LinkModel::zero(),
                 zero_start(4, 4),
                 6.0,
-                ReceivePolicy::TrainReceived,
+                &RingInterval::default(),
                 mock_train(4),
             )
         };
@@ -1078,7 +1077,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(2, 2),
             3.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             |_, m, salt| {
                 salts.push(salt);
                 m
@@ -1102,7 +1101,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 2),
             4.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             |_, m, _| {
                 ptrs.push(m.as_slice().as_ptr());
                 m
@@ -1123,15 +1122,18 @@ mod tests {
     ) -> (RingOutcome, Ring) {
         let (ring, lat) = ring_of(latencies);
         let n = latencies.len();
-        let out = simulate_ring_interval_faulty(
+        let opts = RingInterval {
+            failure_policy,
+            failures,
+            ..RingInterval::default()
+        };
+        let out = simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(n, n),
             interval,
-            ReceivePolicy::TrainReceived,
-            failure_policy,
-            failures,
+            &opts,
             mock_train(n),
         );
         (out, ring)
@@ -1142,15 +1144,17 @@ mod tests {
         let latencies = [1.0, 2.0, 3.0];
         let (ring, lat) = ring_of(&latencies);
         let run = |failures: &[Option<f64>]| {
-            simulate_ring_interval_faulty(
+            simulate_ring_interval(
                 &ring,
                 &lat,
                 &LinkModel::zero(),
                 zero_start(3, 3),
                 5.0,
-                ReceivePolicy::TrainReceived,
-                FailurePolicy::ForwardToSuccessor,
-                failures,
+                &RingInterval {
+                    failure_policy: FailurePolicy::ForwardToSuccessor,
+                    failures,
+                    ..RingInterval::default()
+                },
                 mock_train(3),
             )
         };
@@ -1185,15 +1189,17 @@ mod tests {
     fn marked_two_device_failure(policy: FailurePolicy) -> RingOutcome {
         let (ring, lat) = ring_of(&[1.0, 1.0]);
         let start = vec![ParamVec::zeros(2), ParamVec::from_vec(vec![0.0, 100.0])];
-        simulate_ring_interval_faulty(
+        simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             RingStart::PerPosition(start),
             3.0,
-            ReceivePolicy::TrainReceived,
-            policy,
-            &[None, Some(0.5)],
+            &RingInterval {
+                failure_policy: policy,
+                failures: &[None, Some(0.5)],
+                ..RingInterval::default()
+            },
             mock_train(2),
         )
     }
@@ -1302,22 +1308,21 @@ mod tests {
 
     use fedhisyn_simnet::FaultConfig;
 
-    /// Run the transport entry point with no failures and no trace.
+    /// Run under a wire-fault plan with no failures and no trace.
     fn run_transport(latencies: &[f64], interval: f64, plan: &FaultPlan) -> RingOutcome {
         let (ring, lat) = ring_of(latencies);
         let n = latencies.len();
-        simulate_ring_interval_transport(
+        simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(n, n),
             interval,
-            ReceivePolicy::TrainReceived,
-            FailurePolicy::ForwardToSuccessor,
-            &[],
-            Some(RingFaults { plan, round: 7 }),
-            None,
-            None,
+            &RingInterval {
+                failure_policy: FailurePolicy::ForwardToSuccessor,
+                faults: Some(RingFaults { plan, round: 7 }),
+                ..RingInterval::default()
+            },
             mock_train(n),
         )
     }
@@ -1334,7 +1339,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(3, 3),
             5.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(3),
         );
         assert_eq!(with.final_models, without.final_models);
@@ -1432,21 +1437,21 @@ mod tests {
         // budget on its own lineage.
         let (ring, lat) = ring_of(&[1.0, 1.0, 1.0]);
         let plan = FaultPlan::new(3, FaultConfig::lossy(0.5));
-        let out = simulate_ring_interval_transport(
+        let out = simulate_ring_interval(
             &ring,
             &lat,
             &LinkModel::zero(),
             zero_start(3, 3),
             4.0,
-            ReceivePolicy::TrainReceived,
-            FailurePolicy::DropInFlight,
-            &[None, Some(0.5), Some(1.5)],
-            Some(RingFaults {
-                plan: &plan,
-                round: 0,
-            }),
-            None,
-            None,
+            &RingInterval {
+                failure_policy: FailurePolicy::DropInFlight,
+                failures: &[None, Some(0.5), Some(1.5)],
+                faults: Some(RingFaults {
+                    plan: &plan,
+                    round: 0,
+                }),
+                ..RingInterval::default()
+            },
             mock_train(3),
         );
         assert_eq!(out.alive, vec![true, false, false]);
@@ -1477,7 +1482,7 @@ mod tests {
             &LinkModel::zero(),
             zero_start(1, 1),
             0.0,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             mock_train(1),
         );
     }

@@ -1,10 +1,38 @@
-//! Ring communication topologies (paper §4.1, Eq. 5).
+//! Ring communication topologies (paper §4.1, Eq. 5) and the latency
+//! classes they are built over (Alg. 1 line 4).
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use fedhisyn_cluster::kmeans_1d;
 use fedhisyn_simnet::LinkModel;
+use fedhisyn_tensor::TensorRng;
+
+use crate::env::FlEnv;
+
+/// Cluster `participants` into at most `k` latency classes, fastest class
+/// first (Alg. 1 line 4), from the latencies *observed at* `round` — on a
+/// dynamic fleet a device migrates between classes as its capacity state
+/// drifts; on a static fleet this reads the base profile and is
+/// bit-identical to clustering once.
+pub fn cluster_participants(
+    env: &FlEnv,
+    participants: &[usize],
+    k: usize,
+    round: usize,
+    rng: &mut TensorRng,
+) -> Vec<Vec<usize>> {
+    let latencies: Vec<f64> = participants
+        .iter()
+        .map(|&d| env.latency_at(d, round))
+        .collect();
+    kmeans_1d(&latencies, k.min(participants.len()), 100, rng)
+        .groups_sorted_by_centroid()
+        .into_iter()
+        .map(|group| group.into_iter().map(|i| participants[i]).collect())
+        .collect()
+}
 
 /// How devices are ordered around a ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

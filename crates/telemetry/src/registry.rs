@@ -9,13 +9,15 @@
 //!   determinism fingerprint because they observe runtime state (cache
 //!   occupancy, arena high-water) that legitimately varies across hosts;
 //! * **histograms** — fixed bucket bounds chosen at registration, one
-//!   atomic count per bucket plus a CAS-accumulated `f64` sum.
+//!   atomic count per bucket plus an integer sum in nano-units.
 //!
 //! Counter and histogram contents are pure functions of the simulated
 //! workload, so they participate in the deterministic fingerprint used by
-//! the telemetry determinism tests.
+//! the telemetry determinism tests. Every cell is an integer, so
+//! concurrent recording commutes: the fingerprint cannot depend on the
+//! order in which parallel workers observe.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Handle to a registered counter (index into the registry, `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,9 +54,15 @@ struct HistogramCell {
     bounds: Vec<f64>,
     /// `bounds.len() + 1` bucket counts.
     counts: Vec<AtomicU64>,
-    /// Sum of observed values, stored as `f64` bits, CAS-accumulated.
-    sum_bits: AtomicU64,
+    /// Sum of observed values in nano-units (value × [`NANOS`]), each
+    /// observation rounded once. Integer addition is associative, unlike `f64`
+    /// addition, so the sum is independent of recording order.
+    sum_units: AtomicI64,
 }
+
+/// Nano-units per unit: histogram sums resolve to 1e-9 (a nanosecond for
+/// the virtual-time histograms). `i64` nano-units span ±292 years.
+const NANOS: f64 = 1e9;
 
 /// Point-in-time copy of one histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +73,7 @@ pub struct HistogramSnapshot {
     pub bounds: Vec<f64>,
     /// Per-bucket observation counts (`bounds.len() + 1` entries).
     pub counts: Vec<u64>,
-    /// Sum of all observed values.
+    /// Sum of all observed values, at nano-unit resolution.
     pub sum: f64,
 }
 
@@ -127,7 +135,7 @@ impl MetricsRegistry {
             name,
             bounds: bounds.to_vec(),
             counts,
-            sum_bits: AtomicU64::new(0),
+            sum_units: AtomicI64::new(0),
         });
         HistogramId(self.histograms.len() - 1)
     }
@@ -166,17 +174,8 @@ impl MetricsRegistry {
         let h = &self.histograms[id.0];
         let bucket = h.bounds.partition_point(|&b| v > b);
         h.counts[bucket].fetch_add(1, Ordering::Relaxed);
-        let mut cur = h.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match h
-                .sum_bits
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        h.sum_units
+            .fetch_add((v * NANOS).round() as i64, Ordering::Relaxed);
     }
 
     /// Copy out every metric.
@@ -199,7 +198,7 @@ impl MetricsRegistry {
                     name: h.name,
                     bounds: h.bounds.clone(),
                     counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                    sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
+                    sum: h.sum_units.load(Ordering::Relaxed) as f64 / NANOS,
                 })
                 .collect(),
         }
@@ -222,7 +221,7 @@ impl MetricsRegistry {
             for c in &hist.counts {
                 h.u64(c.load(Ordering::Relaxed));
             }
-            h.u64(hist.sum_bits.load(Ordering::Relaxed));
+            h.u64(hist.sum_units.load(Ordering::Relaxed) as u64);
         }
         h.finish()
     }
@@ -334,6 +333,25 @@ mod tests {
         let s = &r.snapshot().histograms[0];
         assert_eq!(s.total(), 4000);
         assert_eq!(s.sum, 4000.0);
+    }
+
+    #[test]
+    fn histogram_sums_are_order_independent() {
+        // Ring lanes observe from parallel workers, so arrival order is
+        // up to the scheduler; the fingerprint must not be.
+        let values = [0.1, 1e9, 0.2, -1e9, 0.3];
+        let fingerprint = |order: &mut dyn Iterator<Item = &f64>| {
+            let mut r = MetricsRegistry::new();
+            let h = r.register_histogram("h", &[1.0]);
+            for &v in order {
+                r.observe(h, v);
+            }
+            r.fingerprint()
+        };
+        assert_eq!(
+            fingerprint(&mut values.iter()),
+            fingerprint(&mut values.iter().rev())
+        );
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use fedhisyn::cluster::{kmeans_1d, quantile_bins};
 use fedhisyn::core::aggregate::{AggregationRule, Contribution};
-use fedhisyn::core::ring_sim::{
-    simulate_ring_interval, simulate_ring_interval_faulty, FailurePolicy, ReceivePolicy, RingStart,
-};
+use fedhisyn::core::ring_sim::{simulate_ring_interval, FailurePolicy, RingInterval, RingStart};
 use fedhisyn::core::{Ring, RingOrder};
 use fedhisyn::data::{partition_indices, Dataset, Partition};
 use fedhisyn::nn::{wire, Codec, ParamVec};
@@ -115,7 +113,7 @@ proptest! {
         let start = RingStart::PerPosition(vec![ParamVec::zeros(2); ring.len()]);
         let out = simulate_ring_interval(
             &ring, &ring_lat, &LinkModel::zero(), start, interval,
-            ReceivePolicy::TrainReceived,
+            &RingInterval::default(),
             |_, m, _| m,
         );
         for (pos, &steps) in out.steps.iter().enumerate() {
@@ -207,15 +205,17 @@ proptest! {
             })
             .collect();
         let run = || {
-            simulate_ring_interval_faulty(
+            simulate_ring_interval(
                 &ring,
                 &ring_lat,
                 &LinkModel::zero(),
                 RingStart::PerPosition(vec![ParamVec::zeros(n); n]),
                 interval,
-                ReceivePolicy::TrainReceived,
-                FailurePolicy::ForwardToSuccessor,
-                &failures,
+                &RingInterval {
+                    failure_policy: FailurePolicy::ForwardToSuccessor,
+                    failures: &failures,
+                    ..RingInterval::default()
+                },
                 |device, mut m, _salt| {
                     m.as_mut_slice()[device] += 1.0;
                     m
