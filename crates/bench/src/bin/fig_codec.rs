@@ -10,7 +10,11 @@
 //!
 //! Everything is seed-deterministic — the run double-checks that by
 //! replaying the most aggressive cell (top-k on a lossy wire) and
-//! asserting bit-identical records.
+//! asserting bit-identical records. After writing the figure data it
+//! asserts the trade itself at every loss rate: each lossy codec within 2
+//! accuracy points of the f32 wire, Int8 at least 3.5× and top-k@10% at
+//! least 10× compression, and encoded bytes falling strictly f32 → int8 →
+//! top-k@10%.
 //!
 //! ```sh
 //! cargo run -p fedhisyn-bench --release --bin fig_codec [-- --full]
@@ -63,6 +67,47 @@ fn run_cell(cfg: &ExperimentConfig) -> (RunRecord, TrafficSnapshot) {
     let mut algo = FedHiSyn::new(cfg, 10.min(cfg.n_devices));
     let record = run_experiment(&mut algo, &mut env, cfg.rounds);
     (record, env.meter.snapshot())
+}
+
+/// The codec trade at one loss rate: every lossy codec within 2 accuracy
+/// points of the f32 wire (error feedback is what buys this at 10% top-k
+/// density), compression at or above each codec's floor, and encoded
+/// bytes, retries included, falling strictly f32 → int8 → top-k@10%.
+fn assert_trade(cells: &[Cell], loss: f64) {
+    let at = |codec: &str| {
+        cells
+            .iter()
+            .find(|c| c.loss == loss && c.codec == codec)
+            .expect("every codec ran at every loss rate")
+    };
+    let f32_accuracy = at("f32").final_accuracy;
+    for c in cells.iter().filter(|c| c.loss == loss && c.codec != "f32") {
+        let delta = c.final_accuracy - f32_accuracy;
+        assert!(
+            delta.abs() <= 0.02,
+            "{} at loss {loss} drifted {:.1} points from the f32 wire",
+            c.codec,
+            delta * 100.0
+        );
+    }
+    for (codec, floor) in [("f32", 1.0), ("int8", 3.5), ("topk100", 10.0)] {
+        let ratio = at(codec).compression_ratio;
+        assert!(
+            ratio >= floor,
+            "{codec} at loss {loss} compressed only {ratio:.2}x (floor {floor:.1}x)"
+        );
+    }
+    for pair in [["f32", "int8"], ["int8", "topk100"]] {
+        let (a, b) = (at(pair[0]), at(pair[1]));
+        assert!(
+            b.wire_bytes < a.wire_bytes,
+            "wire bytes rose from {} ({}) to {} ({}) at loss {loss}",
+            a.wire_bytes,
+            a.codec,
+            b.wire_bytes,
+            b.codec
+        );
+    }
 }
 
 fn main() {
@@ -129,4 +174,8 @@ fn main() {
     println!("\ndeterminism check: topk100 at 15% loss replayed bit-identically ✓");
 
     write_json("fig_codec", &cells);
+    for &loss in &losses {
+        assert_trade(&cells, loss);
+    }
+    println!("codec trade check: accuracy, compression floors and byte order hold ✓");
 }

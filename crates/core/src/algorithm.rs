@@ -295,7 +295,7 @@ mod tests {
             self.p
         }
         fn round(&mut self, ctx: &mut RoundContext<'_>) -> ParamVec {
-            ctx.env.charge_upload(ctx.participants.len() as f64);
+            ctx.env.charge_upload(ctx.participants.len() as u64);
             ParamVec::zeros(ctx.env.param_count())
         }
     }

@@ -235,7 +235,7 @@ impl DecentralSim {
             if trained[sender].is_none() {
                 continue;
             }
-            env.charge_peer(1.0);
+            env.charge_peer(1);
             if env.codec.lossy() {
                 let mut sent = trained[sender].clone().expect("sender participated");
                 env.codec_transform(sender, &mut sent, None, &mut scratch);

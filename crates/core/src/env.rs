@@ -324,7 +324,7 @@ impl FlEnv {
 
     /// Record `model_equivalents` device→server uploads, charged at the
     /// wire-format frame size.
-    pub fn charge_upload(&self, model_equivalents: f64) {
+    pub fn charge_upload(&self, model_equivalents: u64) {
         self.meter.record_upload(
             model_equivalents,
             self.param_count(),
@@ -334,7 +334,7 @@ impl FlEnv {
     }
 
     /// Record `model_equivalents` server→device downloads.
-    pub fn charge_download(&self, model_equivalents: f64) {
+    pub fn charge_download(&self, model_equivalents: u64) {
         self.meter.record_download(
             model_equivalents,
             self.param_count(),
@@ -344,7 +344,7 @@ impl FlEnv {
     }
 
     /// Record `model_equivalents` device→device ring transfers.
-    pub fn charge_peer(&self, model_equivalents: f64) {
+    pub fn charge_peer(&self, model_equivalents: u64) {
         self.meter.record_peer(
             model_equivalents,
             self.param_count(),
@@ -356,8 +356,8 @@ impl FlEnv {
     /// Record `frames` retransmitted relay frames (retries + duplicate
     /// copies). Charged to the byte ledgers only — the logical transfer
     /// was already counted by [`FlEnv::charge_peer`].
-    pub fn charge_retransmit(&self, frames: f64) {
-        if frames > 0.0 {
+    pub fn charge_retransmit(&self, frames: u64) {
+        if frames > 0 {
             self.meter.record_retransmit(
                 frames,
                 self.param_count(),
@@ -562,9 +562,9 @@ mod tests {
     #[test]
     fn charges_account_wire_frames() {
         let env = tiny_env();
-        env.charge_upload(2.0);
-        env.charge_download(1.0);
-        env.charge_peer(3.0);
+        env.charge_upload(2);
+        env.charge_download(1);
+        env.charge_peer(3);
         let s = env.meter.snapshot();
         assert_eq!(s.uploads, 2.0);
         assert_eq!(s.parameters_moved, 6.0 * env.param_count() as f64);
@@ -612,8 +612,8 @@ mod tests {
         let mut env = tiny_env();
         env.codec = Codec::Int8;
         env.residuals = ResidualBank::new();
-        env.charge_peer(2.0);
-        env.charge_retransmit(1.0);
+        env.charge_peer(2);
+        env.charge_retransmit(1);
         let s = env.meter.snapshot();
         assert!(env.frame_bytes() < env.raw_frame_bytes());
         assert_eq!(s.wire_bytes, 3.0 * env.frame_bytes() as f64);

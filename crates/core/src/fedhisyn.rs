@@ -123,7 +123,7 @@ impl FlAlgorithm for FedHiSyn {
         //    carries the dropped mass into the next round's broadcast.
         //    `TopK` deltas are taken against the previous round's decoded
         //    broadcast, which every participant already holds.
-        env.charge_download(s.len() as f64);
+        env.charge_download(s.len() as u64);
         let broadcast: Option<ParamVec> = if env.codec.lossy() {
             let mut b = self.global.clone();
             let mut scratch = CodecScratch::new();
@@ -248,7 +248,7 @@ impl FlAlgorithm for FedHiSyn {
                 uploaded.push((model, env.shard_len(device), mean_time));
             }
         }
-        env.charge_upload(uploaded.len() as f64);
+        env.charge_upload(uploaded.len() as u64);
 
         // 6. Synchronous aggregation (Eq. 9 / Eq. 10). If every
         //    participant died mid-interval the server has nothing to

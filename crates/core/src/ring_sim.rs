@@ -822,8 +822,8 @@ pub(crate) fn run_class_rings(
         .into_iter()
         .map(|lane| {
             let outcome = lane.outcome.expect("every ring ran");
-            env.charge_peer(outcome.transfers as f64);
-            env.charge_retransmit(outcome.transport.retransmit_frames() as f64);
+            env.charge_peer(outcome.transfers as u64);
+            env.charge_retransmit(outcome.transport.retransmit_frames());
             transport.absorb(&outcome.transport);
             (lane.ring, outcome)
         })

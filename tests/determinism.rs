@@ -35,6 +35,10 @@ fn run_algo(cfg: &ExperimentConfig, which: &str) -> RunRecord {
             let mut a = TAFedAvg::new(cfg);
             run_experiment(&mut a, &mut env, cfg.rounds)
         }
+        "tfedavg" => {
+            let mut a = TFedAvg::new(cfg);
+            run_experiment(&mut a, &mut env, cfg.rounds)
+        }
         _ => unreachable!(),
     }
 }
@@ -102,7 +106,7 @@ fn churned_runs_reproduce_identical_traces() {
     // every algorithm family, including which devices dropped, crashed,
     // or throttled.
     let dynamics = FleetDynamics::edge_fleet(0.25, 0.1);
-    for which in ["fedhisyn", "fedavg", "scaffold", "tafedavg"] {
+    for which in ["fedhisyn", "fedavg", "tfedavg", "scaffold", "tafedavg"] {
         let a = run_algo(&churn_cfg(42, dynamics.clone()), which);
         let b = run_algo(&churn_cfg(42, dynamics.clone()), which);
         assert_eq!(a, b, "{which} must be bit-deterministic under churn");

@@ -4,11 +4,12 @@
 //! sink and folds everything the contract covers into one FNV-1a digest:
 //! per-round accuracy bits, virtual time, every traffic ledger (per-round
 //! deltas and the meter's final totals) and the masked, sorted
-//! `deterministic_stream()` of spans. The registry fingerprint is left
-//! out: the span stream already carries every virtual-time extent it
-//! summarises.
+//! `deterministic_stream()` of spans. Next to each digest sits the
+//! telemetry registry's `fingerprint()` (counters and histograms, whose
+//! sums are integer nano-units), so a change that moves what the
+//! registry records is caught even when the span stream stays put.
 //!
-//! The digests are checked in. They must match under every bit-exact
+//! The digests and fingerprints are checked in. They must match under every bit-exact
 //! kernel tier (run the suite with `FEDHISYN_FORCE_SCALAR=0` and `=1`).
 //! A change that moves one on purpose updates the table below and says so
 //! in CHANGES.md; a refactor must leave every digest where it is.
@@ -20,6 +21,9 @@ use fedhisyn::simnet::{FaultConfig, TrafficSnapshot};
 use fedhisyn::telemetry::SpanEvent;
 
 const CAPACITY: usize = 1 << 15;
+
+/// A run's `(digest, registry fingerprint)`.
+type Prints = (u64, u64);
 
 /// FNV-1a over little-endian words.
 struct Digest(u64);
@@ -74,16 +78,19 @@ fn traced_env(cfg: &ExperimentConfig) -> FlEnv {
     env
 }
 
-/// The deterministic span stream, checked to be complete.
-fn stream_of(env: &FlEnv) -> Vec<SpanEvent> {
+/// Folds the deterministic span stream, checked to be complete, into `d`
+/// and returns the run's `(digest, registry fingerprint)` pair.
+fn finish(mut d: Digest, env: &FlEnv) -> Prints {
     let t = env.telemetry.telemetry().expect("enabled sink");
     assert_eq!(t.dropped(), 0, "span buffer sized for the whole run");
-    t.deterministic_stream()
+    d.spans(&t.deterministic_stream());
+    (d.0, t.registry().fingerprint())
 }
 
-/// Digest of a FedHiSyn run, plus the record and final traffic so a case
-/// can check it really exercises the path it is named after.
-fn fedhisyn_run(cfg: &ExperimentConfig, k: usize) -> (u64, RunRecord, TrafficSnapshot) {
+/// Digest and fingerprint of a FedHiSyn run, plus the record and final
+/// traffic so a case can check it really exercises the path it is named
+/// after.
+fn fedhisyn_run(cfg: &ExperimentConfig, k: usize) -> (Prints, RunRecord, TrafficSnapshot) {
     let mut env = traced_env(cfg);
     let mut algo = FedHiSyn::new(cfg, k);
     let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
@@ -112,11 +119,10 @@ fn fedhisyn_run(cfg: &ExperimentConfig, k: usize) -> (u64, RunRecord, TrafficSna
     }
     let traffic = env.meter.snapshot();
     d.traffic(&traffic);
-    d.spans(&stream_of(&env));
-    (d.0, rec, traffic)
+    (finish(d, &env), rec, traffic)
 }
 
-fn decentral_run(cfg: &ExperimentConfig, mode: DecentralMode) -> (u64, TrafficSnapshot) {
+fn decentral_run(cfg: &ExperimentConfig, mode: DecentralMode) -> (Prints, TrafficSnapshot) {
     let env = traced_env(cfg);
     let mut sim = DecentralSim::new(&env, mode);
     let mut d = Digest::new();
@@ -130,8 +136,7 @@ fn decentral_run(cfg: &ExperimentConfig, mode: DecentralMode) -> (u64, TrafficSn
             d.u64(x.to_bits() as u64);
         }
     }
-    d.spans(&stream_of(&env));
-    (d.0, env.meter.snapshot())
+    (finish(d, &env), env.meter.snapshot())
 }
 
 fn base(devices: usize, rounds: usize, seed: u64) -> ExperimentConfigBuilder {
@@ -157,31 +162,34 @@ fn ring(average: bool) -> DecentralMode {
     }
 }
 
-/// Name, checked-in digest, and the run that must reproduce it.
-type Case = (&'static str, u64, fn() -> u64);
+/// Name, checked-in digest and fingerprint, and the run that must
+/// reproduce them.
+type Case = (&'static str, Prints, fn() -> Prints);
 
 fn cases() -> Vec<Case> {
     vec![
-        ("fedhisyn_static", 0x30d6_1d14_adad_0779, || {
-            fedhisyn_run(&base(8, 3, 101).build(), 2).0
-        }),
+        (
+            "fedhisyn_static",
+            (0x30d6_1d14_adad_0779, 0xd575_715e_ea41_c784),
+            || fedhisyn_run(&base(8, 3, 101).build(), 2).0,
+        ),
         (
             "fedhisyn_churn_mid_round_failure",
-            0xa918_872b_6eec_2b19,
+            (0xa918_872b_6eec_2b19, 0x9275_6c20_4901_0d97),
             || {
-                let (digest, rec, _) = fedhisyn_run(&base(10, 3, 102).fleet(churn()).build(), 3);
+                let (prints, rec, _) = fedhisyn_run(&base(10, 3, 102).fleet(churn()).build(), 3);
                 assert!(
                     rec.rounds
                         .iter()
                         .any(|r| r.telemetry.uploads < r.participants as f64),
                     "some participant must die mid-interval"
                 );
-                digest
+                prints
             },
         ),
         (
             "fedhisyn_lossy_topk_lazy_cohort",
-            0x053c_d5c5_17b3_65f2,
+            (0x053c_d5c5_17b3_65f2, 0x548f_23e3_7095_7b5b),
             || {
                 let cfg = base(64, 3, 103)
                     .data_mode(DataMode::Lazy {
@@ -194,33 +202,40 @@ fn cases() -> Vec<Case> {
                     .codec(Codec::TopK { permille: 100 })
                     .faults(FaultConfig::lossy(0.3))
                     .build();
-                let (digest, _, traffic) = fedhisyn_run(&cfg, 3);
+                let (prints, _, traffic) = fedhisyn_run(&cfg, 3);
                 assert!(traffic.retransmit_bytes > 0.0, "the lossy wire must retry");
                 assert!(traffic.wire_bytes < traffic.raw_bytes, "TopK must compress");
-                digest
+                prints
             },
         ),
-        ("fedhisyn_int8", 0x686a_aa7e_8891_bb8a, || {
-            let (digest, _, traffic) = fedhisyn_run(&base(8, 3, 104).codec(Codec::Int8).build(), 2);
-            assert!(traffic.wire_bytes < traffic.raw_bytes, "Int8 must compress");
-            digest
-        }),
+        (
+            "fedhisyn_int8",
+            (0x686a_aa7e_8891_bb8a, 0x4cc1_b020_4033_1267),
+            || {
+                let (prints, _, traffic) =
+                    fedhisyn_run(&base(8, 3, 104).codec(Codec::Int8).build(), 2);
+                assert!(traffic.wire_bytes < traffic.raw_bytes, "Int8 must compress");
+                prints
+            },
+        ),
         (
             "decentral_rings_faults_churn",
-            0x1444_68c0_cd88_40d6,
+            (0x1444_68c0_cd88_40d6, 0xd066_0f07_c5b0_5099),
             || {
                 let cfg = base(10, 3, 105)
                     .fleet(churn())
                     .faults(FaultConfig::edge_wireless())
                     .build();
-                let (digest, traffic) = decentral_run(&cfg, ring(false));
+                let (prints, traffic) = decentral_run(&cfg, ring(false));
                 assert!(traffic.retransmit_bytes > 0.0, "the faulty wire must retry");
-                digest
+                prints
             },
         ),
-        ("decentral_rings_average", 0x89b9_7eef_05f8_2c24, || {
-            decentral_run(&base(8, 3, 106).build(), ring(true)).0
-        }),
+        (
+            "decentral_rings_average",
+            (0x89b9_7eef_05f8_2c24, 0x2b82_5765_9ab1_e7ad),
+            || decentral_run(&base(8, 3, 106).build(), ring(true)).0,
+        ),
     ]
 }
 
@@ -229,13 +244,17 @@ fn golden_run_digests_are_unchanged() {
     let mut mismatches = Vec::new();
     for (name, want, run) in cases() {
         let got = run();
-        if got != want {
-            mismatches.push(format!("{name}: expected {want:#018x}, got {got:#018x}"));
+        for (what, want, got) in [("digest", want.0, got.0), ("fingerprint", want.1, got.1)] {
+            if got != want {
+                mismatches.push(format!(
+                    "{name} {what}: expected {want:#018x}, got {got:#018x}"
+                ));
+            }
         }
     }
     assert!(
         mismatches.is_empty(),
-        "golden digests moved:\n  {}",
+        "golden digests or fingerprints moved:\n  {}",
         mismatches.join("\n  ")
     );
 }

@@ -25,8 +25,8 @@
 //! the dispatched-path behaviour is covered end to end either way.
 
 use fedhisyn::tensor::{
-    gemm_nt_with_tier, gemm_reference, gemm_tn_with_tier, gemm_with_tier, rng_from_seed,
-    select_tier, KernelTier, Tensor,
+    active_tier, gemm, gemm_nt_with_tier, gemm_reference, gemm_tn_with_tier, gemm_with_tier,
+    par_gemm, rng_from_seed, select_tier, KernelTier, Tensor,
 };
 use proptest::prelude::*;
 
@@ -136,6 +136,43 @@ fn scalar_tier_matches_naive_reference_on_tile_edges() {
                 gemm_with_tier(KernelTier::Scalar, &a, &b, &mut got, m, k, n, alpha, beta);
                 assert_eq!(got, want, "scalar tier vs reference {m}x{k}x{n}");
             }
+        }
+    }
+}
+
+/// The process's dispatched tier honours its bit-identity claim through
+/// the public serial and parallel entry points at training shapes: the
+/// paper MLP's first layer (k = 784 spans several K blocks), a square
+/// mid-size, and a conv-lowered shape (filters × CKK × OHOW). A tier
+/// without the claim (FMA) is held to relative error by the test below
+/// instead.
+#[test]
+fn dispatched_tier_honours_its_bit_identity_claim_at_training_shapes() {
+    let tier = active_tier();
+    if !tier.bit_identical() {
+        eprintln!(
+            "({} tier makes no bit-identity claim — skipped)",
+            tier.name()
+        );
+        return;
+    }
+    for &(m, k, n) in &[
+        (50usize, 784usize, 200usize),
+        (128, 128, 128),
+        (32, 288, 256),
+    ] {
+        let (a, b, _, _) = operands(m, k, n, 99);
+        let mut want = vec![0.0f32; m * n];
+        gemm_reference::gemm(&a, &b, &mut want, m, k, n, 1.0, 0.0);
+        for kernel in [gemm, par_gemm] {
+            let mut got = vec![0.0f32; m * n];
+            kernel(&a, &b, &mut got, m, k, n, 1.0, 0.0);
+            assert_eq!(
+                got,
+                want,
+                "{} tier claims bit-identity but diverged from the reference at {m}x{k}x{n}",
+                tier.name()
+            );
         }
     }
 }

@@ -91,6 +91,50 @@ fn retry_bytes_are_charged_and_fold_into_round_deltas() {
     );
 }
 
+/// Retry overhead is monotone in the loss floor: more injected frame loss
+/// means more retry frames on the wire, never fewer. Runs the paper's
+/// fleet size (100 devices, K = 10, skewed Dirichlet) for 2 rounds at each
+/// loss rate; loss 0 leaves the fault plan out.
+#[test]
+fn retransmit_bytes_grow_with_loss() {
+    let mut last = 0.0;
+    for loss in [0.0, 0.05, 0.15, 0.30] {
+        let mut b = ExperimentConfig::builder(DatasetProfile::MnistLike)
+            .scale(Scale::Smoke)
+            .devices(100)
+            .partition(Partition::Dirichlet { beta: 0.1 })
+            .local_epochs(1)
+            .rounds(2)
+            .seed(2022);
+        if loss > 0.0 {
+            b = b.faults(FaultConfig::lossy(loss));
+        }
+        let cfg = b.build();
+        let run10 = || {
+            let mut env = cfg.build_env();
+            let mut algo = FedHiSyn::new(&cfg, 10);
+            let rec = run_experiment(&mut algo, &mut env, cfg.rounds);
+            (rec, env.meter.snapshot())
+        };
+        let (rec, traffic) = run10();
+        assert_eq!(
+            (rec.clone(), traffic),
+            run10(),
+            "loss {loss} diverged between identical seeded runs"
+        );
+        assert!(
+            rec.final_accuracy().is_finite(),
+            "corrupted or lost frames leaked into training at loss {loss}"
+        );
+        assert!(
+            traffic.retransmit_bytes >= last,
+            "retransmit bytes fell from {last} to {} as loss rose to {loss}",
+            traffic.retransmit_bytes
+        );
+        last = traffic.retransmit_bytes;
+    }
+}
+
 #[test]
 fn corrupted_frames_are_typed_errors_never_parameters() {
     use fedhisyn::nn::wire;
@@ -103,6 +147,31 @@ fn corrupted_frames_are_typed_errors_never_parameters() {
     assert_eq!(
         wire::verify_frame(&frame),
         Err(wire::WireError::BadChecksum)
+    );
+    // The checksum covers content, not position: flipping the bit back
+    // restores the original parameters.
+    frame[wire::HEADER_LEN + 9] ^= 0x01;
+    assert_eq!(wire::decode(&frame), Ok(params));
+
+    // A corrupt-heavy wire with the checksum tripwire on every relay hop
+    // completes every round: corrupted frames are retried, never trained on.
+    let corrupt = FaultConfig {
+        corrupt: 0.3,
+        ..FaultConfig::none()
+    };
+    let cfg = base_builder(8, 2, 2022)
+        .wire_check(true)
+        .faults(corrupt)
+        .build();
+    let (rec, traffic) = run(&cfg, ExecMode::Cached);
+    assert_eq!(rec.rounds.len(), 2, "corruption must never abort a round");
+    assert!(
+        rec.final_accuracy().is_finite(),
+        "corrupted payloads leaked into aggregation"
+    );
+    assert!(
+        traffic.retransmit_bytes > 0.0,
+        "corrupted frames are resent"
     );
 }
 
